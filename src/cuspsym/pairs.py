@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import MutableMapping, Sequence, Union
 
-import numpy as np
-
 from .cycles import (
     CycleWord,
     Reflection,
@@ -64,7 +62,7 @@ class OrbitMismatchError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """The brute-force search ran out of its state budget before finishing."""
+    """A search or scan would exceed its budget or an internal bound."""
 
 
 @dataclass(frozen=True)
@@ -493,32 +491,62 @@ def _axis_normal_vectors(p: PairCycle) -> list[tuple[int, ...]]:
     return out
 
 
-def _minimal_patterns(models: Sequence[ToricModel]) -> list[tuple[int, ...]]:
-    """Axis-normal toric vectors with the entrywise-dominated ones removed."""
-    vecs = set()
-    for m in models:
-        vecs.update(_axis_normal_vectors(m.pair))
-    keep = []
-    for v in vecs:
-        if not any(u != v and all(x <= y for x, y in zip(u, v)) for u in vecs):
-            keep.append(v)
-    return sorted(keep)
+def _scan_filter(
+    n: int, max_entry: int, patterns: set[tuple[int, ...]]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Count the candidates of a scan and list those that dominate no pattern.
 
+    Candidates are the labelings [f1, arm, f2, reversed arm] with entries in
+    [2, max_entry], f1 and f2 even, that are definite (not all 2) and
+    chargeable (entry sum >= 3n - 8).  The search is depth-first over the
+    axis-normal coordinates (f1, f2, arm_1, ..., arm_{n/2-1}); patterns are
+    axis-normal toric vectors, palindromic about position 0, so their entries
+    at positions 0..n/2 decide domination.  The patterns the prefix still
+    dominates are an int bitmask.  A subtree is dropped once a live pattern
+    has no remaining entry above 2, so that every completion dominates it, or
+    once no completion is chargeable; the cost follows the prefixes of the
+    labelings that are not accepted.
+    """
+    half = n // 2
+    depth = half + 1
+    weights = (1, 1) + (2,) * (half - 1)
+    evens = range(2, max_entry + 1, 2)
+    values = (evens, evens) + (range(2, max_entry + 1),) * (half - 1)
+    need = 3 * n - 8
 
-def _axis_normal_candidates(n: int, max_entry: int) -> np.ndarray:
-    """Every symmetric labeling [f1, arm, f2, reversed arm] with entries in range."""
-    evens = np.arange(2, max_entry + 1, 2, dtype=np.int16)
-    full = np.arange(2, max_entry + 1, dtype=np.int16)
-    arm = n // 2 - 1
-    grids = np.meshgrid(evens, evens, *([full] * arm), indexing="ij")
-    flat = [g.reshape(-1) for g in grids]
-    out = np.empty((flat[0].size, n), dtype=np.int16)
-    out[:, 0] = flat[0]
-    out[:, n // 2] = flat[1]
-    for k in range(arm):
-        out[:, 1 + k] = flat[2 + k]
-        out[:, n - 1 - k] = flat[2 + k]
-    return out
+    sums = {0: 1}
+    for w, vs in zip(weights, values):
+        nxt: dict[int, int] = {}
+        for s, c in sums.items():
+            for v in vs:
+                nxt[s + w * v] = nxt.get(s + w * v, 0) + c
+        sums = nxt
+    all_two_chargeable = 2 * n >= need  # but not definite
+    candidates = sum(c for s, c in sums.items() if s >= need) - all_two_chargeable
+
+    vecs = [(p[0], p[half], *p[1:half]) for p in patterns]
+    table = [{v: sum(1 << b for b, p in enumerate(vecs) if p[k] <= v) for v in values[k]}
+             for k in range(depth)]
+    low = [sum(1 << b for b, p in enumerate(vecs) if all(x <= 2 for x in p[k:]))
+           for k in range(depth + 1)]
+    rest = [sum(w * vs[-1] for w, vs in zip(weights[k:], values[k:])) for k in range(depth + 1)]
+    survivors: list[tuple[int, ...]] = []
+
+    def visit(k: int, live: int, total: int, prefix: tuple[int, ...]) -> None:
+        if live & low[k] or total + rest[k] < need:
+            return
+        if k == depth:
+            # never the all-2 labeling: it is chargeable only for n <= 8,
+            # where a toric pattern has no entry above 2 and prunes the root
+            f1, f2, *arm = prefix
+            survivors.append((f1, *arm, f2, *arm[::-1]))
+            return
+        row = table[k]
+        for v in values[k]:
+            visit(k + 1, live & row[v], total + weights[k] * v, prefix + (v,))
+
+    visit(0, (1 << len(vecs)) - 1, 0, ())
+    return candidates, survivors
 
 
 @dataclass(frozen=True)
@@ -550,36 +578,35 @@ def scan_length(
 
     Candidates with charge < 4 support no anticanonical pair at all (the
     charge of a negative definite pair is >= 3, and symmetry forces it even)
-    and are outside the decision's scope, so they are filtered out.  The bulk
-    accept test batches the same domination criterion the decision procedure
-    uses; every surviving labeling is re-checked through the full procedure.
+    and are outside the decision's scope, so they are filtered out.  The
+    filter applies the domination criterion of the decision procedure as a
+    depth-first search whose cost follows the non-accepted prefixes; every
+    survivor is confirmed by the decision.  Raises ``BudgetExceededError`` when
+    the labelings outnumber ``budget``, or when n exceeds ``MAX_TORIC_LENGTH``.
     """
     if n % 2 or n < 4:
         raise ValueError("scan needs an even length >= 4")
     if max_entry < 4:
         raise ValueError("scan needs max_entry >= 4")
-    models = enumerate_equivariant_toric(n, cache)
-    patterns = _minimal_patterns(models)
     total = (max_entry // 2) ** 2 * (max_entry - 1) ** (n // 2 - 1)
     if budget is not None and total > budget:
         raise BudgetExceededError(
             f"scan would examine {total} labelings, over the budget of {budget}"
         )
-    cand = _axis_normal_candidates(n, max_entry)
-    definite = (cand > 2).any(axis=1)
-    chargeable = cand.sum(axis=1, dtype=np.int64) >= 3 * n - 8
-    cand = cand[definite & chargeable]
-    accept = np.zeros(len(cand), dtype=bool)
-    for p in patterns:
-        accept |= (cand >= np.asarray(p, dtype=np.int16)).all(axis=1)
-    survivors = np.unique(cand[~accept], axis=0)
+    if n > MAX_TORIC_LENGTH:
+        raise BudgetExceededError(
+            f"scan of length {n} needs toric models past the bound {MAX_TORIC_LENGTH}"
+        )
+    models = enumerate_equivariant_toric(n, cache)
+    patterns = {v for m in models for v in _axis_normal_vectors(m.pair)}
+    candidates, survivors = _scan_filter(n, max_entry, patterns)
 
     suspects: set[tuple[int, ...]] = set()
     for row in survivors:
-        word = CycleWord(tuple(int(x) for x in row))
+        word = CycleWord(row)
         confirm = decide_equivariant_pair(PairCycle(word, Reflection(0, n)), models)
         if confirm.accepted:
-            raise AssertionError(f"batched filter disagrees with the decision on {word}")
+            raise AssertionError(f"scan filter disagrees with the decision on {word}")
         suspects.add(canonicalize(word).entries)
 
     failures = []
@@ -591,4 +618,4 @@ def scan_length(
         )
         if decisions and all(not d.accepted for _, d in decisions):
             failures.append(ScanFailure(cyc, dual(cyc), decisions))
-    return ScanResult(n, max_entry, int(len(cand)), int(accept.sum()), tuple(failures))
+    return ScanResult(n, max_entry, candidates, candidates - len(survivors), tuple(failures))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from cuspsym.cli import main
 
@@ -137,6 +141,25 @@ def test_scan_budget_exceeded(capsys, tmp_path):
     code, _, err = run(capsys, "scan", "--length", "8", "--max-entry", "8",
                        "--budget", "10", "--cache-dir", str(tmp_path))
     assert code == 2 and "budget" in err.lower()
+
+
+def test_scan_past_toric_bound_budget_exit2(capsys, tmp_path):
+    # the budget is checked before the toric enumeration
+    code, _, err = run(capsys, "scan", "--length", "32", "--budget", "10",
+                       "--cache-dir", str(tmp_path))
+    assert code == 2 and "over the budget of 10" in err
+
+
+def test_scan_past_toric_bound_exit2(capsys, tmp_path):
+    code, _, err = run(capsys, "scan", "--length", "32", "--cache-dir", str(tmp_path))
+    assert code == 2 and "past the bound 30" in err
+
+
+def test_import_without_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import cuspsym, cuspsym.cli, sys; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_scan12_rows(capsys, tmp_path):

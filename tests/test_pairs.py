@@ -313,10 +313,61 @@ class TestBruteForce:
             brute_force_reachability(big, budget=3)
 
 
+# every (length, max_entry) whose scan has at most 6000 labelings; the all-2
+# labeling is chargeable but not definite exactly at lengths <= 8
+SCAN_GRID = [(n, m) for n, top in ((4, 10), (6, 10), (8, 8), (10, 6), (12, 5), (14, 4))
+             for m in range(4, top + 1)]
+
+
+def _dominates_toric(target, models):
+    return any(dominates_with_parity(target, m.pair) is not None for m in models)
+
+
 class TestScan:
+    @pytest.mark.parametrize("n,max_entry", SCAN_GRID)
+    def test_filter_matches_brute_force(self, n, max_entry):
+        # reference for the depth-first filter: every labeling, compared
+        # with every toric model
+        import itertools as it
+
+        from cuspsym import find_reflections, scan_length
+
+        models = enumerate_equivariant_toric(n)
+        evens = range(2, max_entry + 1, 2)
+        full = range(2, max_entry + 1)
+        candidates = accepted = 0
+        rejected = set()
+        for f1, f2, *arm in it.product(evens, evens, *[full] * (n // 2 - 1)):
+            word = W((f1, *arm, f2, *reversed(arm)))
+            if max(word.entries) == 2 or charge(word) < 4:
+                continue
+            candidates += 1
+            if _dominates_toric(PairCycle(word, Reflection(0, n)), models):
+                accepted += 1
+            else:
+                rejected.add(canonicalize(word))
+        failing = {
+            c.entries for c in rejected
+            if not any(_dominates_toric(PairCycle(c, a), models) for a in find_reflections(c))
+        }
+        res = scan_length(n, max_entry)
+        assert (res.candidates, res.accepted) == (candidates, accepted)
+        assert {f.cycle.entries for f in res.failures} == failing
+
+    @pytest.mark.parametrize("max_entry,candidates,accepted", [
+        (8, 1_882_339, 1_882_063),
+        (10, 13_285_980, 13_285_704),
+    ])
+    def test_scan14_counts(self, max_entry, candidates, accepted):
+        from cuspsym import scan_length
+
+        res = scan_length(14, max_entry)
+        assert (res.candidates, res.accepted, len(res.failures)) == (
+            candidates, accepted, 142)
+
     def test_batch_matches_decide_exhaustively(self):
-        # the vectorized accept filter is the same predicate as the plain
-        # per-axis decision; check every candidate cycle at a small bound
+        # the scan filter is the same predicate as the plain per-axis
+        # decision; check every candidate cycle at a small bound
         import itertools as it
 
         from cuspsym import find_reflections, scan_length
