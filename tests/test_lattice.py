@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from cuspsym import (
     CycleWord,
     FinAbGroup,
+    canonicalize,
     class_group_of_quotient,
     cokernel,
+    corner_blowup,
     fan_from_cycle,
     fans_equivalent,
     find_reflections,
@@ -179,3 +181,27 @@ class TestFans:
         d = W((2, 1, 2, 1, 2, 1, 2, 1))
         for r in range(8):
             assert fan_from_cycle(d.rotated(r)) is not None
+
+    def test_equivalence_is_the_dihedral_class(self, rng):
+        # toric cycles from random corner blowups of P^1 x P^1: fans agree
+        # exactly when the cycles agree up to rotation and reversal
+        for n in range(6, 11):
+            cycles = []
+            for _ in range(12):
+                c = W((0, 0, 0, 0))
+                while len(c) < n:
+                    c = corner_blowup(c, rng.randrange(len(c)))
+                cycles.append(c)
+            for c in cycles:
+                rays = fan_from_cycle(c)
+                assert rays is not None
+                for r in range(n):
+                    turned = rays[r:] + rays[:r]
+                    assert fans_equivalent(rays, turned)
+                    assert fans_equivalent(rays, turned[::-1])
+                    assert fans_equivalent(rays, fan_from_cycle(c.rotated(r)))
+                    assert fans_equivalent(rays, fan_from_cycle(c.rotated(r).reflected()))
+            for a in cycles:
+                for b in cycles:
+                    same = canonicalize(a) == canonicalize(b)
+                    assert fans_equivalent(fan_from_cycle(a), fan_from_cycle(b)) == same

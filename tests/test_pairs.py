@@ -420,3 +420,27 @@ class TestCanonicalPair:
                 Reflection((state.axis.axis - 2 * r) % state.n, state.n),
             )
             assert canonical_pair_key(rotated) == canonical_pair_key(state)
+
+    def test_key_matches_explicit_relabelings(self, rng):
+        # every relabeling as an index map, the reflection conjugated through it
+        def brute_key(p):
+            n, e = p.n, p.cycle.entries
+            keys = []
+            for r in range(n):
+                for sign in (1, -1):
+                    phi = [(r + sign * i) % n for i in range(n)]
+                    back = {old: new for new, old in enumerate(phi)}
+                    image = [back[p.axis.apply(phi[i])] for i in range(n)]
+                    axis = Reflection(image[0], n)
+                    assert all(axis.apply(i) == image[i] for i in range(n))
+                    keys.append((tuple(e[j] for j in phi), axis.axis))
+            return min(keys)
+
+        for _ in range(60):
+            n = 2 * rng.randint(2, 10)
+            state = SEED
+            while state.n < n:
+                state = apply_equivariant_step(state, rng.choice(node_orbits(state)))
+            for _ in range(rng.randint(0, 4)):
+                state = apply_equivariant_step(state, rng.choice(interior_orbits(state)))
+            assert canonical_pair_key(state) == brute_key(state)
