@@ -35,7 +35,6 @@ from .lattice import class_group_of_quotient, pi1_complement
 from .pairs import (
     BudgetExceededError,
     CornerPair,
-    PairCycle,
     ToricModel,
     apply_equivariant_step,
     SEED,
@@ -108,12 +107,9 @@ def _cache_file(directory: Path, n: int) -> Path:
 
 
 def _load_toric_cache(directory: Path, n: int) -> tuple[ToricModel, ...] | None:
-    path = _cache_file(directory, n)
-    if not path.exists():
-        return None
     try:
         models = []
-        with path.open() as fh:
+        with _cache_file(directory, n).open() as fh:
             for line in fh:
                 rec = json.loads(line)
                 if rec.get("schema") != CACHE_SCHEMA or rec.get("n") != n:
@@ -146,28 +142,25 @@ def _save_toric_cache(directory: Path, n: int, models: tuple[ToricModel, ...]) -
     os.replace(tmp, _cache_file(directory, n))
 
 
-def _toric_models(args, n: int) -> tuple[tuple[ToricModel, ...], dict]:
+def _with_toric_cache(args, n: int, compute):
+    """``compute(n, memo)`` with the cached toric models of length n preloaded into
+    ``memo``, saved when the cache was cold; returns it and the cache record."""
+    if n % 2:
+        raise CliError("length must be even")
     directory = _cache_dir(args)
     cached = _load_toric_cache(directory, n)
-    if cached is not None:
-        return cached, {"dir": str(directory), "warm": True}
-    models = enumerate_equivariant_toric(n)
-    try:
-        _save_toric_cache(directory, n, models)
-        info = {"dir": str(directory), "warm": False}
-    except OSError:
-        info = {"dir": str(directory), "warm": False, "write_failed": True}
-    return models, info
+    memo: dict[int, tuple[ToricModel, ...]] = {n: cached} if cached else {}
+    result = compute(n, memo)
+    info = {"dir": str(directory), "warm": cached is not None}
+    if cached is None:
+        try:
+            _save_toric_cache(directory, n, memo[n])
+        except OSError:
+            info["write_failed"] = True
+    return result, info
 
 
-def _axis_records(cycle: CycleWord, axes: list[Reflection]) -> list[dict]:
-    return [{"record": "axis", "axis": a.axis, "fixed": list(a.fixed)} for a in axes]
-
-
-def _witness_record(decision) -> dict | None:
-    w = decision.witness
-    if w is None:
-        return None
+def _witness_record(w) -> dict:
     return {
         "toric_cycle": list(w.toric_cycle.cycle.entries),
         "axis": w.toric_cycle.axis.axis,
@@ -186,6 +179,13 @@ def _select_axes(cycle: CycleWord, args) -> list[Reflection]:
         if not axes:
             raise CliError(f"axis {args.axis} is not a symmetric axis of {cycle}")
     return axes
+
+
+def _symmetry_header(cycle: CycleWord, args) -> tuple[list[Reflection], list[dict]]:
+    """The selected axes and the ``symmetry`` record that heads the report."""
+    axes = _select_axes(cycle, args)
+    return axes, [{"record": "symmetry", "cycle": list(cycle.entries), "axes": len(axes),
+                   "note": None if axes else "no symmetric structure"}]
 
 
 # ---------------------------------------------------------------- commands
@@ -212,19 +212,15 @@ def _cmd_dual(args) -> tuple[list[dict], int]:
 
 def _cmd_symmetry(args) -> tuple[list[dict], int]:
     c = _parse_cycle(args.cycle)
-    axes = _select_axes(c, args)
-    recs = [{"record": "symmetry", "cycle": list(c.entries), "axes": len(axes),
-             "note": None if axes else "no symmetric structure"}]
-    recs.extend(_axis_records(c, axes))
+    axes, recs = _symmetry_header(c, args)
+    recs.extend({"record": "axis", "axis": a.axis, "fixed": list(a.fixed)} for a in axes)
     return recs, 0
 
 
 def _cmd_involution(args) -> tuple[list[dict], int]:
     c = _parse_cycle(args.cycle)
     require_valid_cusp(c)
-    axes = _select_axes(c, args)
-    recs: list[dict] = [{"record": "symmetry", "cycle": list(c.entries), "axes": len(axes),
-                         "note": None if axes else "no symmetric structure"}]
+    axes, recs = _symmetry_header(c, args)
     for a in axes:
         datum = build_involution_datum(SymmetricStructure(c, a))
         recs.append({
@@ -250,9 +246,7 @@ def _cmd_involution(args) -> tuple[list[dict], int]:
 def _cmd_quotient(args) -> tuple[list[dict], int]:
     c = _parse_cycle(args.cycle)
     require_valid_cusp(c)
-    axes = _select_axes(c, args)
-    recs: list[dict] = [{"record": "symmetry", "cycle": list(c.entries), "axes": len(axes),
-                         "note": None if axes else "no symmetric structure"}]
+    axes, recs = _symmetry_header(c, args)
     for a in axes:
         g = quotient_resolution_graph(SymmetricStructure(c, a))
         cl = class_group_of_quotient(g)
@@ -282,44 +276,28 @@ def _cmd_pi1(args) -> tuple[list[dict], int]:
 
 def _cmd_smoothable(args) -> tuple[list[dict], int]:
     c = _parse_cycle(args.cycle)
-    recs: list[dict] = []
     if args.dual_given:
         # boundary cycles may be negative semidefinite (all 2s); the decision
         # procedure validates and flags them itself
-        boundary = c
-        recs.append({"record": "input", "dual_cycle": list(c.entries)})
+        recs: list[dict] = [{"record": "input", "dual_cycle": list(c.entries)}]
     else:
         require_valid_cusp(c)
-        recs.append({"record": "input", "cusp": list(c.entries),
-                     "multiplicity": multiplicity(c)})
-        if neg_self_intersection(c) == 2:
-            axes = _select_axes(c, args)
-            if not axes:
-                recs.append({"record": "verdict", "axis": None,
-                             "verdict": VERDICT_NOT_SYMMETRIC})
-                return recs, 0
-            for a in axes:
-                recs.append({"record": "verdict", "axis": a.axis, "verdict": VERDICT_MULT2})
-            return recs, 0
-        boundary = None
-    if boundary is None:
-        axes = _select_axes(c, args)
-        if not axes:
-            recs.append({"record": "verdict", "axis": None, "verdict": VERDICT_NOT_SYMMETRIC})
-            return recs, 0
-        structures = [induced_dual_reflection(SymmetricStructure(c, a)) for a in axes]
-        source_axes = axes
-    else:
-        axes = _select_axes(boundary, args)
-        if not axes:
-            recs.append({"record": "verdict", "axis": None, "verdict": VERDICT_NOT_SYMMETRIC})
-            return recs, 0
-        structures = [SymmetricStructure(boundary, a) for a in axes]
-        source_axes = axes
-    models, cache_info = _toric_models(args, len(structures[0].cycle))
+        recs = [{"record": "input", "cusp": list(c.entries), "multiplicity": multiplicity(c)}]
+    axes = _select_axes(c, args)
+    if not axes:
+        recs.append({"record": "verdict", "axis": None, "verdict": VERDICT_NOT_SYMMETRIC})
+        return recs, 0
+    if not args.dual_given and neg_self_intersection(c) == 2:
+        recs.extend({"record": "verdict", "axis": a.axis, "verdict": VERDICT_MULT2}
+                    for a in axes)
+        return recs, 0
+    structures = [SymmetricStructure(c, a) for a in axes]
+    if not args.dual_given:
+        structures = [induced_dual_reflection(st) for st in structures]
+    models, cache_info = _with_toric_cache(args, structures[0].n, enumerate_equivariant_toric)
     recs.append({"record": "cache", **cache_info})
-    for src, st in zip(source_axes, structures):
-        dec = decide_equivariant_pair(PairCycle(st.cycle, st.axis), models)
+    for src, st in zip(axes, structures):
+        dec = decide_equivariant_pair(st, models)
         rec = {
             "record": "verdict",
             "axis": src.axis,
@@ -331,16 +309,14 @@ def _cmd_smoothable(args) -> tuple[list[dict], int]:
             "alignments_tried": dec.alignments_tried,
         }
         if dec.accepted:
-            rec["witness"] = _witness_record(dec)
+            rec["witness"] = _witness_record(dec.witness)
         recs.append(rec)
     return recs, 0
 
 
 def _cmd_enumerate_toric(args) -> tuple[list[dict], int]:
     n = args.length
-    if n % 2:
-        raise CliError("length must be even")
-    models, cache_info = _toric_models(args, n)
+    models, cache_info = _with_toric_cache(args, n, enumerate_equivariant_toric)
     recs: list[dict] = [{"record": "cache", **cache_info},
                         {"record": "count", "n": n, "models": len(models)}]
     for m in models:
@@ -351,17 +327,9 @@ def _cmd_enumerate_toric(args) -> tuple[list[dict], int]:
 
 def _cmd_scan(args) -> tuple[list[dict], int]:
     n = args.length
-    if n % 2:
-        raise CliError("length must be even")
-    directory = _cache_dir(args)
-    cached = _load_toric_cache(directory, n)
-    cache: dict[int, tuple[ToricModel, ...]] = {n: cached} if cached else {}
-    res = scan_length(n, args.max_entry, cache=cache, budget=args.budget)
-    if cached is None:
-        try:
-            _save_toric_cache(directory, n, cache[n])
-        except OSError:
-            pass
+    res, cache_info = _with_toric_cache(
+        args, n, lambda n, memo: scan_length(n, args.max_entry, cache=memo, budget=args.budget)
+    )
     recs: list[dict] = [{
         "record": "scan",
         "n": n,
@@ -369,7 +337,7 @@ def _cmd_scan(args) -> tuple[list[dict], int]:
         "candidates": res.candidates,
         "accepted": res.accepted,
         "failing": len(res.failures),
-        "cache": {"dir": str(directory), "warm": cached is not None},
+        "cache": cache_info,
     }]
     for f in res.failures:
         recs.append({
@@ -510,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("quotient"), axis=True)
 
     p = sub.add_parser("pi1")
-    p.add_argument("--format", choices=("text", "machine"), default="text")
+    common(p, cycle=False)
     p.add_argument("--blowup-rays", required=True,
                    help="semicolon-separated rays, e.g. \"1,1;-1,1;-1,-1;1,-1\"")
 
@@ -520,17 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat --cycle as the dual (boundary) cycle directly")
 
     p = sub.add_parser("enumerate-toric")
-    p.add_argument("--format", choices=("text", "machine"), default="text")
+    common(p, cycle=False, cache=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("scan")
-    p.add_argument("--format", choices=("text", "machine"), default="text")
+    common(p, cycle=False, cache=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--max-entry", type=int, default=10)
     p.add_argument("--budget", type=int, default=None,
                    help="abort (exit 2) if the scan would examine more labelings")
-    p.add_argument("--cache-dir", default=None)
 
     return parser
 

@@ -10,6 +10,7 @@ lexicographically least representative of its dihedral orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 __all__ = [
     "CycleWord",
@@ -20,6 +21,7 @@ __all__ = [
     "CuspValidation",
     "InvalidCuspError",
     "canonicalize",
+    "dihedral_relabelings",
     "validate_cusp",
     "require_valid_cusp",
     "neg_self_intersection",
@@ -76,16 +78,23 @@ class CycleWord:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
 
 
+def dihedral_relabelings(items: tuple, axis: int = 0) -> Iterator[tuple[tuple, int]]:
+    """The 2n relabelings of a cyclic sequence with the doubled axis carried along.
+
+    Yields ``(word, axis')`` for each rotation by r, followed by its reversal
+    about position 0; ``axis'`` is the image of the reflection i -> axis - i.
+    """
+    n = len(items)
+    for r in range(n):
+        w = items[r:] + items[:r]
+        s = (axis - 2 * r) % n
+        yield w, s
+        yield (w[0],) + w[:0:-1], -s % n
+
+
 def dihedral_orbit(c: CycleWord) -> list[tuple[int, ...]]:
     """All 2n entry tuples obtained by rotating and reversing ``c``."""
-    e = c.entries
-    n = len(e)
-    out = []
-    for r in range(n):
-        w = e[r:] + e[:r]
-        out.append(w)
-        out.append((w[0],) + w[:0:-1])
-    return out
+    return [w for w, _ in dihedral_relabelings(c.entries)]
 
 
 def canonicalize(c: CycleWord) -> CycleWord:
@@ -267,7 +276,8 @@ class Reflection:
 
 @dataclass(frozen=True)
 class SymmetricStructure:
-    """A cycle word together with a reflection making it symmetric."""
+    """A cycle word together with a reflection making it symmetric; as
+    ``pairs.PairCycle`` it is also the boundary cycle of a pair."""
 
     cycle: CycleWord
     axis: Reflection
@@ -281,6 +291,13 @@ class SymmetricStructure:
             raise ValueError(f"{self.cycle}: fixed entries must be even")
         if any(self.cycle[i] != self.cycle[self.axis.apply(i)] for i in range(n)):
             raise ValueError(f"{self.cycle} is not palindromic about {self.axis}")
+
+    @property
+    def n(self) -> int:
+        return len(self.cycle)
+
+    def __str__(self) -> str:
+        return f"{self.cycle} with {self.axis}"
 
 
 def find_reflections(c: CycleWord) -> list[Reflection]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cycles import CycleWord, QuotientGraph
+from .cycles import CycleWord, QuotientGraph, dihedral_relabelings
 
 __all__ = [
     "IntMatrix",
@@ -312,7 +312,7 @@ def fan_from_cycle(d: CycleWord) -> tuple[tuple[int, int], ...] | None:
 def fans_equivalent(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> bool:
     """Whether two cyclically ordered ray lists agree up to GL(2,Z) and relabeling."""
     a = [tuple(v) for v in a]
-    b = [tuple(v) for v in b]
+    b = tuple(tuple(v) for v in b)
     n = len(a)
     if len(b) != n or n < 2:
         return False
@@ -332,10 +332,4 @@ def fans_equivalent(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) 
     target = normalized(a)
     if target is None:
         return False
-    for rot in range(n):
-        cand = b[rot:] + b[:rot]
-        for seq in (cand, [cand[0]] + cand[1:][::-1]):
-            got = normalized(seq)
-            if got == target:
-                return True
-    return False
+    return any(normalized(seq) == target for seq, _ in dihedral_relabelings(b))

@@ -2,11 +2,12 @@
 procedure for the existence of an equivariant anticanonical pair.
 
 A pair cycle is a cycle word (entries may be <= 0) together with a reflection
-fixing two components with even entries.  The decision procedure compares the
-target against the toric pair cycles reachable from ((0,0,0,0), axis 2) by
-reflection-paired corner blowups: the target admits an equivariant pair
-exactly when it dominates some such toric cycle entrywise under an
-axis-respecting alignment, with even excess on the two fixed components.
+fixing two components with even entries: a ``SymmetricStructure``, named
+``PairCycle`` here.  The decision procedure compares the target against the
+toric pair cycles reachable from ((0,0,0,0), axis 2) by reflection-paired
+corner blowups: the target admits an equivariant pair exactly when it
+dominates some such toric cycle entrywise under an axis-respecting alignment,
+with even excess on the two fixed components.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from typing import MutableMapping, Sequence, Union
 from .cycles import (
     CycleWord,
     Reflection,
+    SymmetricStructure,
     canonicalize,
+    dihedral_relabelings,
     dual,
     find_reflections,
 )
@@ -65,31 +68,7 @@ class BudgetExceededError(RuntimeError):
     """A search or scan would exceed its budget or an internal bound."""
 
 
-@dataclass(frozen=True)
-class PairCycle:
-    """A boundary cycle with a compatible reflection."""
-
-    cycle: CycleWord
-    axis: Reflection
-
-    def __post_init__(self) -> None:
-        n = len(self.cycle)
-        if n < 4 or n % 2:
-            raise ValueError("pair cycles must have even length >= 4")
-        if self.axis.n != n:
-            raise ValueError("reflection length does not match cycle length")
-        f1, f2 = self.axis.fixed
-        if self.cycle[f1] % 2 or self.cycle[f2] % 2:
-            raise ValueError(f"{self.cycle}: entries at fixed indices must be even")
-        if any(self.cycle[i] != self.cycle[self.axis.apply(i)] for i in range(n)):
-            raise ValueError(f"{self.cycle} is not palindromic about {self.axis}")
-
-    @property
-    def n(self) -> int:
-        return len(self.cycle)
-
-    def __str__(self) -> str:
-        return f"{self.cycle} with {self.axis}"
+PairCycle = SymmetricStructure
 
 
 def charge(x: Union[PairCycle, CycleWord]) -> int:
@@ -208,21 +187,7 @@ def apply_equivariant_step(p: PairCycle, step: EquivariantStep) -> PairCycle:
 
 def canonical_pair_key(p: PairCycle) -> tuple[tuple[int, ...], int]:
     """Least (word, axis) over the dihedral relabelings acting on the pair."""
-    e = p.cycle.entries
-    n = p.n
-    s = p.axis.axis
-    best = None
-    for r in range(n):
-        w = e[r:] + e[:r]
-        sr = (s - 2 * r) % n
-        cand = (w, sr)
-        if best is None or cand < best:
-            best = cand
-        w2 = (w[0],) + w[:0:-1]
-        cand2 = (w2, (-sr) % n)
-        if cand2 < best:
-            best = cand2
-    return best
+    return min(dihedral_relabelings(p.cycle.entries, p.axis.axis))
 
 
 def canonicalize_pair(p: PairCycle) -> PairCycle:
@@ -252,10 +217,15 @@ def enumerate_equivariant_toric(
     """All pair cycles of length n reachable from the seed by corner pairs.
 
     Deduplicated under dihedral equivalence of the pair; each class keeps the
-    first representative found together with its replayable schedule.
+    first representative found together with its replayable schedule.  Raises
+    ``BudgetExceededError`` for an even n past ``MAX_TORIC_LENGTH``.
     """
-    if n % 2 or not 4 <= n <= MAX_TORIC_LENGTH:
+    if n % 2 or n < 4:
         raise ValueError(f"toric enumeration needs even length in [4, {MAX_TORIC_LENGTH}]")
+    if n > MAX_TORIC_LENGTH:
+        raise BudgetExceededError(
+            f"toric models of length {n} are past the bound {MAX_TORIC_LENGTH}"
+        )
     memo = _toric_memo if cache is None else cache
     if n in memo:
         return memo[n]
@@ -351,8 +321,10 @@ def replay_witness(w: ToricWitness, target: PairCycle) -> PairCycle:
 
 
 def _check_decidable(target: PairCycle) -> bool:
-    """Returns the semidefinite flag; rejects cycles that are not negative
-    (semi)definite, the only inputs the decision is stated for."""
+    """Returns the semidefinite flag; rejects cycles shorter than 4 or not
+    negative (semi)definite, the only inputs the decision is stated for."""
+    if target.n < 4:
+        raise ValueError("pair cycles must have even length >= 4")
     e = target.cycle.entries
     if min(e) < 2:
         raise ValueError(f"{target.cycle} has an entry < 2; not negative (semi)definite")
@@ -582,7 +554,8 @@ def scan_length(
     filter applies the domination criterion of the decision procedure as a
     depth-first search whose cost follows the non-accepted prefixes; every
     survivor is confirmed by the decision.  Raises ``BudgetExceededError`` when
-    the labelings outnumber ``budget``, or when n exceeds ``MAX_TORIC_LENGTH``.
+    the labelings outnumber ``budget``, checked before any enumeration, or when
+    n is past the bound of the toric enumeration.
     """
     if n % 2 or n < 4:
         raise ValueError("scan needs an even length >= 4")
@@ -592,10 +565,6 @@ def scan_length(
     if budget is not None and total > budget:
         raise BudgetExceededError(
             f"scan would examine {total} labelings, over the budget of {budget}"
-        )
-    if n > MAX_TORIC_LENGTH:
-        raise BudgetExceededError(
-            f"scan of length {n} needs toric models past the bound {MAX_TORIC_LENGTH}"
         )
     models = enumerate_equivariant_toric(n, cache)
     patterns = {v for m in models for v in _axis_normal_vectors(m.pair)}

@@ -224,6 +224,8 @@ class TestDecide:
     def test_rejects_entry_below_two(self):
         with pytest.raises(ValueError):
             decide_equivariant_pair(pair((1, 2, 1, 2), 0))
+        with pytest.raises(ValueError, match="length >= 4"):
+            decide_equivariant_pair(pair((2, 4), 0))
 
     def test_accepted_has_replayable_witness(self, rng):
         for _ in range(40):
