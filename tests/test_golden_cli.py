@@ -16,6 +16,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from cuspsym.cli import CACHE_ENV, main
 
@@ -42,7 +43,7 @@ COMMANDS = [
     ["smoothable", "--cycle", "2,4"],
     ["smoothable", "--cycle", "2,4", "--axis", "1"],
     ["smoothable", "--dual-given", "--cycle", "3,5,3,4"],
-    # past the toric bound
+    # past a budget or the toric bound
     ["smoothable", "--cycle", "3,40,3,4"],
     ["enumerate-toric", "--length", "32"],
     ["scan", "--length", "8", "--max-entry", "8", "--budget", "10"],
@@ -55,16 +56,9 @@ _TIMING_TEXT = re.compile(r" in [0-9]+\.[0-9]{3}s\]$", re.M)
 
 def _run(argv: list[str], cache_dir: str) -> str:
     out, err = io.StringIO(), io.StringIO()
-    old = os.environ.get(CACHE_ENV)
-    os.environ[CACHE_ENV] = cache_dir
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        if old is None:
-            del os.environ[CACHE_ENV]
-        else:
-            os.environ[CACHE_ENV] = old
+    with mock.patch.dict(os.environ, {CACHE_ENV: cache_dir}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
 
     def mask(text: str) -> str:
         text = text.replace(cache_dir, "<CACHE>")
