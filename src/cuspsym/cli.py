@@ -287,20 +287,22 @@ def _cmd_smoothable(args) -> tuple[list[dict], int]:
     if not axes:
         recs.append({"record": "verdict", "axis": None, "verdict": VERDICT_NOT_SYMMETRIC})
         return recs, 0
-    if not args.dual_given and neg_self_intersection(c) == 2:
+    # the dual's length, so that the toric bound is checked before the dual is built
+    n = len(c) if args.dual_given else neg_self_intersection(c)
+    if not args.dual_given and n == 2:
         recs.extend({"record": "verdict", "axis": a.axis, "verdict": VERDICT_MULT2}
                     for a in axes)
         return recs, 0
-    structures = [SymmetricStructure(c, a) for a in axes]
-    if not args.dual_given:
-        structures = [induced_dual_reflection(st) for st in structures]
-    models, cache_info = _with_toric_cache(args, structures[0].n, enumerate_equivariant_toric)
+    models, cache_info = _with_toric_cache(args, n, enumerate_equivariant_toric)
     recs.append({"record": "cache", **cache_info})
-    for src, st in zip(axes, structures):
+    for a in axes:
+        st = SymmetricStructure(c, a)
+        if not args.dual_given:
+            st = induced_dual_reflection(st)
         dec = decide_equivariant_pair(st, models)
         rec = {
             "record": "verdict",
-            "axis": src.axis,
+            "axis": a.axis,
             "dual_cycle": list(st.cycle.entries),
             "dual_axis": st.axis.axis,
             "verdict": VERDICT_HOLDS if dec.accepted else VERDICT_FAILS,
@@ -344,7 +346,7 @@ def _cmd_scan(args) -> tuple[list[dict], int]:
             "record": "failing",
             "cusp": list(f.dual_cusp.entries),
             "dual": list(f.cycle.entries),
-            "axes": [a.axis for a, _ in f.decisions],
+            "axes": [a.axis for a in f.axes],
         })
     return recs, 0
 

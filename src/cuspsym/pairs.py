@@ -245,7 +245,8 @@ def enumerate_equivariant_toric(
 
 
 def _axis_alignments(n: int, s_target: int, s_toric: int) -> list[tuple[int, ...]]:
-    """Index bijections toric -> target conjugating the two reflections."""
+    """The four index bijections toric -> target conjugating the two reflections:
+    two rotations and two reflections, each pair n/2 apart, distinct for n >= 4."""
     half = n // 2
     maps = []
     r0 = (((s_target - s_toric) % n) // 2) % half
@@ -254,11 +255,7 @@ def _axis_alignments(n: int, s_target: int, s_toric: int) -> list[tuple[int, ...
     t0 = (((s_target + s_toric) % n) // 2) % half
     for t in (t0, t0 + half):
         maps.append(tuple((t - i) % n for i in range(n)))
-    seen: list[tuple[int, ...]] = []
-    for m in maps:
-        if m not in seen:
-            seen.append(m)
-    return seen
+    return maps
 
 
 def dominates_with_parity(target: PairCycle, toric: PairCycle) -> tuple[int, ...] | None:
@@ -356,16 +353,12 @@ def decide_equivariant_pair(
     semidef = _check_decidable(target)
     if models is None:
         models = enumerate_equivariant_toric(target.n)
-    alignments_tried = 0
     for count, model in enumerate(models, start=1):
-        alignments_tried += len(
-            _axis_alignments(target.n, target.axis.axis, model.pair.axis.axis)
-        )
         phi = dominates_with_parity(target, model.pair)
         if phi is not None:
             witness = _build_witness(target, model, phi)
-            return Decision(True, witness, semidef, count, alignments_tried)
-    return Decision(False, None, semidef, len(models), alignments_tried)
+            return Decision(True, witness, semidef, count, 4 * count)
+    return Decision(False, None, semidef, len(models), 4 * len(models))
 
 
 def _expand_moves(state: PairCycle, max_len: int, max_entry: int, max_charge: int):
@@ -453,14 +446,10 @@ def brute_force_reachability(target: PairCycle, budget: int = 500_000) -> Decisi
 
 
 def _axis_normal_vectors(p: PairCycle) -> list[tuple[int, ...]]:
-    """The one or two labelings of ``p`` with a fixed component at position 0."""
+    """The labelings of ``p`` with a fixed component at position 0, one per fixed
+    component (equal when a half-turn swaps the two)."""
     e = p.cycle.entries
-    out = []
-    for f in p.axis.fixed:
-        w = e[f:] + e[:f]
-        if w not in out:
-            out.append(w)
-    return out
+    return [e[f:] + e[:f] for f in p.axis.fixed]
 
 
 def _scan_filter(
@@ -486,15 +475,17 @@ def _scan_filter(
     values = (evens, evens) + (range(2, max_entry + 1),) * (half - 1)
     need = 3 * n - 8
 
+    # sums only grow, so capping them at need keeps the count exact
     sums = {0: 1}
     for w, vs in zip(weights, values):
         nxt: dict[int, int] = {}
         for s, c in sums.items():
             for v in vs:
-                nxt[s + w * v] = nxt.get(s + w * v, 0) + c
+                t = min(s + w * v, need)
+                nxt[t] = nxt.get(t, 0) + c
         sums = nxt
     all_two_chargeable = 2 * n >= need  # but not definite
-    candidates = sum(c for s, c in sums.items() if s >= need) - all_two_chargeable
+    candidates = sums.get(need, 0) - all_two_chargeable
 
     vecs = [(p[0], p[half], *p[1:half]) for p in patterns]
     table = [{v: sum(1 << b for b, p in enumerate(vecs) if p[k] <= v) for v in values[k]}
@@ -527,7 +518,7 @@ class ScanFailure:
 
     cycle: CycleWord
     dual_cusp: CycleWord
-    decisions: tuple[tuple[Reflection, Decision], ...]
+    axes: tuple[Reflection, ...]
 
 
 @dataclass(frozen=True)
@@ -553,9 +544,11 @@ def scan_length(
     and are outside the decision's scope, so they are filtered out.  The
     filter applies the domination criterion of the decision procedure as a
     depth-first search whose cost follows the non-accepted prefixes; every
-    survivor is confirmed by the decision.  Raises ``BudgetExceededError`` when
-    the labelings outnumber ``budget``, checked before any enumeration, or when
-    n is past the bound of the toric enumeration.
+    survivor is confirmed by the decision.  The labelings of a cycle with a
+    fixed component first are candidates, so a cycle fails exactly when one
+    such labeling per axis is a survivor.  Raises ``BudgetExceededError``
+    when the labelings outnumber ``budget``, checked before any enumeration,
+    or when n is past the bound of the toric enumeration.
     """
     if n % 2 or n < 4:
         raise ValueError("scan needs an even length >= 4")
@@ -578,13 +571,11 @@ def scan_length(
             raise AssertionError(f"scan filter disagrees with the decision on {word}")
         suspects.add(canonicalize(word).entries)
 
+    rejected = set(survivors)
     failures = []
     for entries in sorted(suspects):
         cyc = CycleWord(entries)
-        decisions = tuple(
-            (ax, decide_equivariant_pair(PairCycle(cyc, ax), models))
-            for ax in find_reflections(cyc)
-        )
-        if decisions and all(not d.accepted for _, d in decisions):
-            failures.append(ScanFailure(cyc, dual(cyc), decisions))
+        axes = tuple(find_reflections(cyc))
+        if all(_axis_normal_vectors(PairCycle(cyc, a))[0] in rejected for a in axes):
+            failures.append(ScanFailure(cyc, dual(cyc), axes))
     return ScanResult(n, max_entry, candidates, candidates - len(survivors), tuple(failures))

@@ -151,8 +151,11 @@ def test_scan_past_toric_bound_budget_exit2(capsys, tmp_path):
 
 
 def test_scan_past_toric_bound_exit2(capsys, tmp_path):
-    code, _, err = run(capsys, "scan", "--length", "32", "--cache-dir", str(tmp_path))
-    assert code == 2 and "past the bound 30" in err
+    # the bound is checked before the dual of the huge cusp is built
+    huge = "4,1000000000000,4,1000000000000"
+    for argv in (["scan", "--length", "32"], ["smoothable", "--cycle", huge]):
+        code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 2 and "past the bound 30" in err, argv
 
 
 def test_import_without_numpy():

@@ -14,6 +14,7 @@ from cuspsym import (
     corner_blowup,
     decide_equivariant_pair,
     dominates_with_parity,
+    dual,
     enumerate_equivariant_toric,
     fan_from_cycle,
     interior_blowup,
@@ -264,6 +265,21 @@ class TestDecide:
                 assert dominates_with_parity(target, m.pair) is None
             assert not decide_equivariant_pair(target).accepted
 
+    def test_four_alignments_per_model(self):
+        # the alignments of two axes are four distinct maps from n = 4 on, so
+        # the decision counts four per model tried, on accepts and rejects
+        from cuspsym.pairs import _axis_alignments
+
+        for n in range(4, 41, 2):
+            for s_target in range(0, n, 2):
+                for s_toric in range(0, n, 2):
+                    assert len(set(_axis_alignments(n, s_target, s_toric))) == 4
+        accept = decide_equivariant_pair(pair((2,) * 8, 0))
+        reject = decide_equivariant_pair(pair((4, 3) + (2,) * 9 + (3,), 0))
+        assert accept.accepted and not reject.accepted
+        for d in (accept, reject):
+            assert d.alignments_tried == 4 * d.models_tried
+
     def test_monotonicity(self, rng):
         for _ in range(30):
             n = rng.choice((4, 6, 8))
@@ -355,6 +371,9 @@ class TestScan:
         res = scan_length(n, max_entry)
         assert (res.candidates, res.accepted) == (candidates, accepted)
         assert {f.cycle.entries for f in res.failures} == failing
+        for f in res.failures:
+            assert f.axes == tuple(find_reflections(f.cycle))
+            assert f.dual_cusp == dual(f.cycle)
 
     @pytest.mark.parametrize("max_entry,candidates,accepted", [
         (8, 1_882_339, 1_882_063),
@@ -392,6 +411,17 @@ class TestScan:
                     for a in find_reflections(cyc)
                 )
                 assert rejected_all == (cyc.entries in failing), cyc
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("m", [500, 3000])
+    def test_counts_at_large_max_entry(self, n, m):
+        # every labeling but the all-2 one is a chargeable candidate for
+        # n <= 8, and a toric pattern with no entry above 2 accepts them all
+        from cuspsym import scan_length
+
+        res = scan_length(n, m)
+        assert res.candidates == (m // 2) ** 2 * (m - 1) ** (n // 2 - 1) - 1
+        assert res.accepted == res.candidates and res.failures == ()
 
     def test_deterministic(self):
         from cuspsym import scan_length
