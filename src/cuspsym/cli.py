@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .cycles import (
@@ -34,19 +32,12 @@ from .cycles import (
 from .lattice import class_group_of_quotient, pi1_complement
 from .pairs import (
     BudgetExceededError,
-    CornerPair,
-    ToricModel,
-    apply_equivariant_step,
-    SEED,
     charge,
     decide_equivariant_pair,
     enumerate_equivariant_toric,
     scan_length,
 )
 from .sl2 import build_involution_datum, is_hyperbolic, matrix_of_cycle
-
-CACHE_ENV = "CUSPSYM_CACHE_DIR"
-CACHE_SCHEMA = "cuspsym-toric-v1"
 
 VERDICT_HOLDS = "equivariant Looijenga pair exists (sufficient condition holds)"
 VERDICT_FAILS = (
@@ -91,73 +82,6 @@ def _parse_rays(text: str) -> list[tuple[int, int]]:
         except ValueError:
             raise CliError(f"malformed ray {part!r}; expected integers")
     return rays
-
-
-def _cache_dir(args) -> Path:
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir)
-    if os.environ.get(CACHE_ENV):
-        return Path(os.environ[CACHE_ENV])
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(base) / "cuspsym"
-
-
-def _cache_file(directory: Path, n: int) -> Path:
-    return directory / f"toric-{n}.jsonl"
-
-
-def _load_toric_cache(directory: Path, n: int) -> tuple[ToricModel, ...] | None:
-    try:
-        models = []
-        with _cache_file(directory, n).open() as fh:
-            for line in fh:
-                rec = json.loads(line)
-                if rec.get("schema") != CACHE_SCHEMA or rec.get("n") != n:
-                    return None
-                schedule = tuple(CornerPair(a, b) for a, b in rec["schedule"])
-                state = SEED
-                for step in schedule:
-                    state = apply_equivariant_step(state, step)
-                if state.cycle.entries != tuple(rec["cycle"]) or state.axis.axis != rec["axis"]:
-                    return None
-                models.append(ToricModel(state, schedule))
-        return tuple(models) if models else None
-    except (ValueError, KeyError, OSError):
-        return None
-
-
-def _save_toric_cache(directory: Path, n: int, models: tuple[ToricModel, ...]) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    tmp = _cache_file(directory, n).with_suffix(".tmp")
-    with tmp.open("w") as fh:
-        for m in models:
-            rec = {
-                "schema": CACHE_SCHEMA,
-                "n": n,
-                "cycle": list(m.pair.cycle.entries),
-                "axis": m.pair.axis.axis,
-                "schedule": [[s.node, s.mirror] for s in m.schedule],
-            }
-            fh.write(json.dumps(rec) + "\n")
-    os.replace(tmp, _cache_file(directory, n))
-
-
-def _with_toric_cache(args, n: int, compute):
-    """``compute(n, memo)`` with the cached toric models of length n preloaded into
-    ``memo``, saved when the cache was cold; returns it and the cache record."""
-    if n % 2:
-        raise CliError("length must be even")
-    directory = _cache_dir(args)
-    cached = _load_toric_cache(directory, n)
-    memo: dict[int, tuple[ToricModel, ...]] = {n: cached} if cached else {}
-    result = compute(n, memo)
-    info = {"dir": str(directory), "warm": cached is not None}
-    if cached is None:
-        try:
-            _save_toric_cache(directory, n, memo[n])
-        except OSError:
-            info["write_failed"] = True
-    return result, info
 
 
 def _witness_record(w) -> dict:
@@ -287,19 +211,17 @@ def _cmd_smoothable(args) -> tuple[list[dict], int]:
     if not axes:
         recs.append({"record": "verdict", "axis": None, "verdict": VERDICT_NOT_SYMMETRIC})
         return recs, 0
-    # the dual's length, so that the toric bound is checked before the dual is built
-    n = len(c) if args.dual_given else neg_self_intersection(c)
+    n = len(c) if args.dual_given else neg_self_intersection(c)  # the dual's length
     if not args.dual_given and n == 2:
         recs.extend({"record": "verdict", "axis": a.axis, "verdict": VERDICT_MULT2}
                     for a in axes)
         return recs, 0
-    models, cache_info = _with_toric_cache(args, n, enumerate_equivariant_toric)
-    recs.append({"record": "cache", **cache_info})
+    enumerate_equivariant_toric(n)  # the toric bound, checked before the dual is built
     for a in axes:
         st = SymmetricStructure(c, a)
         if not args.dual_given:
             st = induced_dual_reflection(st)
-        dec = decide_equivariant_pair(st, models)
+        dec = decide_equivariant_pair(st)
         rec = {
             "record": "verdict",
             "axis": a.axis,
@@ -318,9 +240,8 @@ def _cmd_smoothable(args) -> tuple[list[dict], int]:
 
 def _cmd_enumerate_toric(args) -> tuple[list[dict], int]:
     n = args.length
-    models, cache_info = _with_toric_cache(args, n, enumerate_equivariant_toric)
-    recs: list[dict] = [{"record": "cache", **cache_info},
-                        {"record": "count", "n": n, "models": len(models)}]
+    models = enumerate_equivariant_toric(n)
+    recs: list[dict] = [{"record": "count", "n": n, "models": len(models)}]
     for m in models:
         recs.append({"record": "toric", "n": n, "cycle": list(m.pair.cycle.entries),
                      "axis": m.pair.axis.axis, "charge": charge(m.pair)})
@@ -329,9 +250,7 @@ def _cmd_enumerate_toric(args) -> tuple[list[dict], int]:
 
 def _cmd_scan(args) -> tuple[list[dict], int]:
     n = args.length
-    res, cache_info = _with_toric_cache(
-        args, n, lambda n, memo: scan_length(n, args.max_entry, cache=memo, budget=args.budget)
-    )
+    res = scan_length(n, args.max_entry, budget=args.budget)
     recs: list[dict] = [{
         "record": "scan",
         "n": n,
@@ -339,7 +258,6 @@ def _cmd_scan(args) -> tuple[list[dict], int]:
         "candidates": res.candidates,
         "accepted": res.accepted,
         "failing": len(res.failures),
-        "cache": cache_info,
     }]
     for f in res.failures:
         recs.append({
@@ -412,8 +330,6 @@ def _render_text(records: list[dict], meta: dict) -> str:
                 lines.append(f"  witness: toric {CycleWord(tuple(w['toric_cycle']))}"
                              f" (axis {w['axis']}), {len(w['corner_steps'])} corner pairs,"
                              f" {len(w['interior_steps'])} interior steps")
-        elif kind == "cache":
-            lines.append(f"cache: {rec.get('dir')} ({'warm' if rec.get('warm') else 'cold'})")
         elif kind == "count":
             lines.append(f"{rec['models']} equivariant toric pair(s) of length {rec['n']}")
         elif kind == "toric":
@@ -471,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--axis", type=int, default=None,
                            help="restrict to this symmetric axis (doubled-axis integer)")
         if cache:
-            p.add_argument("--cache-dir", default=None)
+            # accepted but ignored, so that callers that still pass it keep working
+            p.add_argument("--cache-dir", help=argparse.SUPPRESS)
 
     common(sub.add_parser("validate"))
     common(sub.add_parser("dual"))

@@ -274,6 +274,13 @@ class Reflection:
         return f"axis {self.axis} (fixes {self.fixed[0]},{self.fixed[1]})"
 
 
+def _symmetric_about(e: tuple[int, ...], s: int) -> bool:
+    """Whether e[i] == e[(s - i) % n] for every i, checked by slicing."""
+    rev = e[::-1]
+    k = (len(e) - 1 - s) % len(e)
+    return rev[k:] + rev[:k] == e
+
+
 @dataclass(frozen=True)
 class SymmetricStructure:
     """A cycle word together with a reflection making it symmetric; as
@@ -289,7 +296,7 @@ class SymmetricStructure:
         f1, f2 = self.axis.fixed
         if self.cycle[f1] % 2 or self.cycle[f2] % 2:
             raise ValueError(f"{self.cycle}: fixed entries must be even")
-        if any(self.cycle[i] != self.cycle[self.axis.apply(i)] for i in range(n)):
+        if not _symmetric_about(self.cycle.entries, self.axis.axis):
             raise ValueError(f"{self.cycle} is not palindromic about {self.axis}")
 
     @property
@@ -310,7 +317,7 @@ def find_reflections(c: CycleWord) -> list[Reflection]:
         f1, f2 = s // 2, s // 2 + n // 2
         if c[f1] % 2 or c[f2] % 2:
             continue
-        if all(c[i] == c[(s - i) % n] for i in range(n)):
+        if _symmetric_about(c.entries, s):
             out.append(Reflection(s, n))
     return out
 

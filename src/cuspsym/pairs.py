@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import MutableMapping, Sequence, Union
+from typing import MutableMapping, Union
 
 from .cycles import (
     CycleWord,
@@ -346,13 +346,10 @@ def _build_witness(target: PairCycle, model: ToricModel, phi: tuple[int, ...]) -
     return witness
 
 
-def decide_equivariant_pair(
-    target: PairCycle, models: Sequence[ToricModel] | None = None
-) -> Decision:
+def decide_equivariant_pair(target: PairCycle) -> Decision:
     """Accept iff some enumerated equivariant toric cycle dominates the target."""
     semidef = _check_decidable(target)
-    if models is None:
-        models = enumerate_equivariant_toric(target.n)
+    models = enumerate_equivariant_toric(target.n)
     for count, model in enumerate(models, start=1):
         phi = dominates_with_parity(target, model.pair)
         if phi is not None:
@@ -530,12 +527,7 @@ class ScanResult:
     failures: tuple[ScanFailure, ...]
 
 
-def scan_length(
-    n: int,
-    max_entry: int = 10,
-    cache: MutableMapping[int, tuple[ToricModel, ...]] | None = None,
-    budget: int | None = None,
-) -> ScanResult:
+def scan_length(n: int, max_entry: int = 10, budget: int | None = None) -> ScanResult:
     """Decide every symmetric negative-definite cycle of length n, entries
     <= max_entry, and return the ones rejected on all axes with their duals.
 
@@ -559,14 +551,14 @@ def scan_length(
         raise BudgetExceededError(
             f"scan would examine {total} labelings, over the budget of {budget}"
         )
-    models = enumerate_equivariant_toric(n, cache)
+    models = enumerate_equivariant_toric(n)
     patterns = {v for m in models for v in _axis_normal_vectors(m.pair)}
     candidates, survivors = _scan_filter(n, max_entry, patterns)
 
     suspects: set[tuple[int, ...]] = set()
     for row in survivors:
         word = CycleWord(row)
-        confirm = decide_equivariant_pair(PairCycle(word, Reflection(0, n)), models)
+        confirm = decide_equivariant_pair(PairCycle(word, Reflection(0, n)))
         if confirm.accepted:
             raise AssertionError(f"scan filter disagrees with the decision on {word}")
         suspects.add(canonicalize(word).entries)

@@ -72,89 +72,93 @@ def test_quotient(capsys):
     assert rec["class_group"] == "Z^3 x Z/2 x Z/2"
 
 
-def test_smoothable_reference_failure(capsys, tmp_path):
-    code, out, _ = run(capsys, "smoothable", "--cycle", "3,10,3,4",
-                       "--cache-dir", str(tmp_path), "--format", "machine")
+def test_smoothable_reference_failure(capsys):
+    code, out, _ = run(capsys, "smoothable", "--cycle", "3,10,3,4", "--format", "machine")
     assert code == 0
     verdicts = [r for r in machine_records(out) if r["record"] == "verdict"]
     assert len(verdicts) == 1
     assert verdicts[0]["verdict"].startswith("no equivariant pair")
 
 
-def test_smoothable_holds(capsys, tmp_path):
-    code, out, _ = run(capsys, "smoothable", "--cycle", "14,2,2,2",
-                       "--cache-dir", str(tmp_path), "--format", "machine")
+def test_smoothable_holds(capsys):
+    code, out, _ = run(capsys, "smoothable", "--cycle", "14,2,2,2", "--format", "machine")
     verdicts = [r for r in machine_records(out) if r["record"] == "verdict"]
     assert verdicts[0]["verdict"].startswith("equivariant Looijenga pair exists")
     assert verdicts[0]["witness"]["corner_steps"]
 
 
-def test_smoothable_not_symmetric(capsys, tmp_path):
-    code, out, _ = run(capsys, "smoothable", "--cycle", "3,5,3,4",
-                       "--cache-dir", str(tmp_path))
+def test_smoothable_not_symmetric(capsys):
+    code, out, _ = run(capsys, "smoothable", "--cycle", "3,5,3,4")
     assert code == 0 and "not symmetric" in out
 
 
-def test_smoothable_multiplicity_two(capsys, tmp_path):
-    code, out, _ = run(capsys, "smoothable", "--cycle", "2,4",
-                       "--cache-dir", str(tmp_path))
+def test_smoothable_multiplicity_two(capsys):
+    code, out, _ = run(capsys, "smoothable", "--cycle", "2,4")
     assert code == 0 and "multiplicity-2" in out
 
 
-def test_enumerate_toric_minimal_row(capsys, tmp_path):
-    code, out, _ = run(capsys, "enumerate-toric", "--length", "12",
-                       "--cache-dir", str(tmp_path), "--format", "machine")
+def test_enumerate_toric_minimal_row(capsys):
+    code, out, _ = run(capsys, "enumerate-toric", "--length", "12", "--format", "machine")
     recs = [r for r in machine_records(out) if r["record"] == "toric"]
     assert any(dihedral_equal(r["cycle"], (1, 2, 2, 2, 1, 2, 1, 2, 2, 2, 1, 6))
                for r in recs)
 
 
-def test_cache_warm_identical(capsys, tmp_path):
+def test_cache_warm_identical(capsys):
+    # the second call reads the library's in-process memo; no cache record
     def strip(text):
         recs = machine_records(text)
-        out = []
         for r in recs:
             r.pop("timing_s", None)
-            r.pop("warm", None)
-            out.append(r)
-        return out
+        return recs
 
-    code1, out1, _ = run(capsys, "enumerate-toric", "--length", "10",
-                         "--cache-dir", str(tmp_path), "--format", "machine")
-    code2, out2, _ = run(capsys, "enumerate-toric", "--length", "10",
-                         "--cache-dir", str(tmp_path), "--format", "machine")
+    code1, out1, _ = run(capsys, "enumerate-toric", "--length", "10", "--format", "machine")
+    code2, out2, _ = run(capsys, "enumerate-toric", "--length", "10", "--format", "machine")
     assert code1 == code2 == 0
-    recs2 = machine_records(out2)
-    assert any(r.get("warm") for r in recs2 if r["record"] == "cache")
     assert strip(out1) == strip(out2)
+    assert not any(r["record"] == "cache" for r in machine_records(out1))
 
 
-def test_scan_small_empty(capsys, tmp_path):
-    code, out, _ = run(capsys, "scan", "--length", "8", "--max-entry", "8",
-                       "--cache-dir", str(tmp_path), "--format", "machine")
+def test_writes_no_files(capsys, tmp_path, monkeypatch):
+    dirs = [tmp_path / name for name in ("home", "xdg", "env", "flag")]
+    for d in dirs:
+        d.mkdir()
+    monkeypatch.setenv("HOME", str(dirs[0]))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(dirs[1]))
+    monkeypatch.setenv("CUSPSYM_CACHE_DIR", str(dirs[2]))
+    commands = [["smoothable", "--cycle", "14,2,2,2"], ["enumerate-toric", "--length", "10"],
+                ["scan", "--length", "8", "--max-entry", "6"]]
+    for argv in commands:
+        for extra in ([], ["--cache-dir", str(dirs[3])]):
+            code, _, err = run(capsys, *argv, *extra, "--format", "machine")
+            assert code == 0, (argv, extra, err)
+    assert [list(d.iterdir()) for d in dirs] == [[], [], [], []]
+
+
+def test_scan_small_empty(capsys):
+    code, out, _ = run(capsys, "scan", "--length", "8", "--max-entry", "8", "--format", "machine")
     assert code == 0
     head = machine_records(out)[0]
     assert head["failing"] == 0
 
 
-def test_scan_budget_exceeded(capsys, tmp_path):
+def test_scan_budget_exceeded(capsys):
     code, _, err = run(capsys, "scan", "--length", "8", "--max-entry", "8",
-                       "--budget", "10", "--cache-dir", str(tmp_path))
+                       "--budget", "10")
     assert code == 2 and "budget" in err.lower()
 
 
-def test_scan_past_toric_bound_budget_exit2(capsys, tmp_path):
+def test_scan_past_toric_bound_budget_exit2(capsys):
     # the budget is checked before the toric enumeration
-    code, _, err = run(capsys, "scan", "--length", "32", "--budget", "10",
-                       "--cache-dir", str(tmp_path))
+    code, _, err = run(capsys, "scan", "--length", "32", "--budget", "10")
     assert code == 2 and "over the budget of 10" in err
 
 
-def test_scan_past_toric_bound_exit2(capsys, tmp_path):
+def test_scan_past_toric_bound_exit2(capsys):
     # the bound is checked before the dual of the huge cusp is built
     huge = "4,1000000000000,4,1000000000000"
     for argv in (["scan", "--length", "32"], ["smoothable", "--cycle", huge]):
-        code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        code, _, err = run(capsys, *argv)
         assert code == 2 and "past the bound 30" in err, argv
 
 
@@ -165,11 +169,10 @@ def test_import_without_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-def test_scan12_rows(capsys, tmp_path):
+def test_scan12_rows(capsys):
     from conftest import EXTRA_FAILING_CUSP
 
-    code, out, _ = run(capsys, "scan", "--length", "12",
-                       "--cache-dir", str(tmp_path), "--format", "machine")
+    code, out, _ = run(capsys, "scan", "--length", "12", "--format", "machine")
     assert code == 0
     recs = machine_records(out)
     head = [r for r in recs if r["record"] == "scan"][0]

@@ -17,7 +17,7 @@ from cuspsym import (
     run_decompose,
     validate_cusp,
 )
-from cuspsym.cycles import dihedral_orbit
+from cuspsym.cycles import _symmetric_about, dihedral_orbit
 
 from conftest import REFERENCE_FAILING_12, dihedral_equal
 
@@ -36,6 +36,21 @@ def cusps(draw, max_n=8, max_entry=9):
     entries = [draw(st.integers(2, max_entry)) for _ in range(n)]
     entries[draw(st.integers(0, n - 1))] = draw(st.integers(3, max_entry))
     return W(tuple(entries))
+
+
+@st.composite
+def words_and_axes(draw):
+    """A word and a doubled axis of any sign; about half the words are made
+    symmetric about the axis, and some of those are then broken at one index."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(-3 * n, 3 * n))
+    e = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        for i in range(n):
+            e[(s - i) % n] = e[i]
+        if draw(st.booleans()):
+            e[draw(st.integers(0, n - 1))] += 1
+    return tuple(e), s
 
 
 class TestCanonicalize:
@@ -151,6 +166,20 @@ class TestReflections:
     def test_edge_axis_rejected(self):
         with pytest.raises(ValueError):
             Reflection(1, 4)
+
+    @given(words_and_axes())
+    def test_symmetric_about_is_the_index_map(self, case):
+        e, s = case
+        n = len(e)
+        assert _symmetric_about(e, s) == all(e[i] == e[(s - i) % n] for i in range(n))
+
+    def test_structure_rejects_non_palindrome(self):
+        with pytest.raises(ValueError, match="not palindromic"):
+            SymmetricStructure(W((2, 3, 4, 5)), Reflection(0, 4))
+        # axis 8 is axis 2 mod 6, fixing components 1 and 4
+        SymmetricStructure(W((3, 2, 3, 5, 4, 5)), Reflection(8, 6))
+        with pytest.raises(ValueError, match="not palindromic"):
+            SymmetricStructure(W((3, 2, 3, 5, 4, 6)), Reflection(8, 6))
 
 
 def _symmetric(entries, fixed0):

@@ -1,24 +1,21 @@
 """Golden CLI output: exit code, stdout and stderr of a fixed command list.
 
 Every command of the README, plus the branches of ``smoothable`` and the
-past-bound paths, runs in both formats against a cold cache and then a warm
-one.  Timings and the cache directory are masked, everything else must match
-``golden_cli.txt`` byte for byte.  Regenerate the fixture with
-``PYTHONPATH=src python tests/test_golden_cli.py`` after an intended change.
+invalid-length and past-bound paths, runs in both formats.  Timings are
+masked, everything else must match ``golden_cli.txt`` byte for byte.
+Regenerate the fixture with ``PYTHONPATH=src python tests/test_golden_cli.py``
+after an intended change.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import os
 import re
 import sys
-import tempfile
 from pathlib import Path
-from unittest import mock
 
-from cuspsym.cli import CACHE_ENV, main
+from cuspsym.cli import main
 
 FIXTURE = Path(__file__).with_name("golden_cli.txt")
 
@@ -43,6 +40,9 @@ COMMANDS = [
     ["smoothable", "--cycle", "2,4"],
     ["smoothable", "--cycle", "2,4", "--axis", "1"],
     ["smoothable", "--dual-given", "--cycle", "3,5,3,4"],
+    # odd lengths are invalid input
+    ["enumerate-toric", "--length", "7"],
+    ["scan", "--length", "7"],
     # past a budget or the toric bound
     ["smoothable", "--cycle", "3,40,3,4"],
     ["enumerate-toric", "--length", "32"],
@@ -54,14 +54,12 @@ _TIMING_JSON = re.compile(r'"timing_s": [0-9.e+-]+')
 _TIMING_TEXT = re.compile(r" in [0-9]+\.[0-9]{3}s\]$", re.M)
 
 
-def _run(argv: list[str], cache_dir: str) -> str:
+def _run(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {CACHE_ENV: cache_dir}), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
 
     def mask(text: str) -> str:
-        text = text.replace(cache_dir, "<CACHE>")
         text = _TIMING_JSON.sub('"timing_s": "<T>"', text)
         return _TIMING_TEXT.sub(" in <T>s]", text)
 
@@ -70,15 +68,12 @@ def _run(argv: list[str], cache_dir: str) -> str:
 
 
 def transcript() -> str:
-    """The masked output of every command, format and cache state in order."""
+    """The masked output of every command and format in order."""
     blocks = []
     for argv in COMMANDS:
         for fmt in ("machine", "text"):
-            with tempfile.TemporaryDirectory() as cache_dir:
-                for state in ("cold", "warm"):
-                    full = argv + ["--format", fmt]
-                    blocks.append(f"=== cuspsym {' '.join(full)} [{state}]\n"
-                                  + _run(full, cache_dir))
+            full = argv + ["--format", fmt]
+            blocks.append(f"=== cuspsym {' '.join(full)}\n" + _run(full))
     return "".join(blocks)
 
 

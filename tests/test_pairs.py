@@ -395,7 +395,6 @@ class TestScan:
 
         res = scan_length(12, 5)
         failing = {f.cycle.entries for f in res.failures}
-        models = enumerate_equivariant_toric(12)
         seen = set()
         for f1, f2 in it.product((2, 4), repeat=2):
             for arm in it.product(range(2, 6), repeat=5):
@@ -407,7 +406,7 @@ class TestScan:
                     continue
                 seen.add(cyc.entries)
                 rejected_all = all(
-                    not decide_equivariant_pair(PairCycle(cyc, a), models).accepted
+                    not decide_equivariant_pair(PairCycle(cyc, a)).accepted
                     for a in find_reflections(cyc)
                 )
                 assert rejected_all == (cyc.entries in failing), cyc
